@@ -6,6 +6,15 @@ bytes occupies the transmitter for ``size * 8 / bandwidth`` seconds and
 arrives at the far end ``delay`` seconds after transmission completes —
 classic store-and-forward.
 
+The transmitter costs one engine event per hop.  A packet that finds
+it idle starts service at once, and only its delivery is booked, at
+``(now + size * 8 / bandwidth) + delay``.  Packets that queue behind a
+busy transmitter are served by one drain event booked at the instant
+the transmitter frees up; it serves the head of the queue and rebooks
+itself while packets wait.  At equal timestamps the departure (the
+next service start) happens before an arrival, whatever order the two
+were booked in, so drop decisions never depend on booking history.
+
 An optional :class:`~repro.net.loss.LossModule` sits in front of the
 queue for artificial loss injection ("artificial losses are introduced
 at the gateway R1", paper Section 4).
@@ -42,7 +51,8 @@ class Link:
     queue:
         Ingress queue discipline (owned by this link).
     trace:
-        Optional trace bus; publishes ``link.drop`` / ``link.tx`` records.
+        Optional trace bus; publishes ``link.drop`` / ``link.tx`` records
+        (``link.tx`` at service start).
     loss:
         Optional artificial loss module applied before the queue.
     """
@@ -75,16 +85,15 @@ class Link:
         # Optional packet tamperer (see repro.faults.tamper): may
         # duplicate or corrupt-drop packets before they reach the queue.
         self.tamper = None
-        self._busy = False
         self._down = False
-        # Opt-in batched egress (see enable_batched_egress).  False on
-        # every default link; the batching attributes are stripped from
-        # checkpoints while disabled so default-link digests are
-        # byte-identical to a batching-unaware build.
-        self._batch = False
+        # Transmitter state: the packet in service leaves the
+        # transmitter at _busy_until, and while packets wait behind it
+        # exactly one drain event is booked (_drain_pending).
+        self._busy_until = sim.now
+        self._drain_pending = False
         # Optional time-varying rate schedule (repro.net.varlink); set
-        # by RateSchedule.apply.  None is stripped from checkpoints for
-        # the same digest-compatibility reason as _batch.
+        # by RateSchedule.apply.  None is stripped from checkpoints so
+        # unscheduled links pickle as a schedule-unaware link would.
         self.rate_schedule = None
         self.packets_delivered = 0
         self.bytes_delivered = 0
@@ -127,10 +136,6 @@ class Link:
         state.pop("_ch_tx", None)
         del state["_loss"], state["_loss_active"]
         state["loss"] = self._loss
-        if not self._batch:
-            # Default links pickle exactly as a batching-unaware link
-            # would; batching links keep their mode and service horizon.
-            del state["_batch"]
         if state.get("rate_schedule") is None:
             state.pop("rate_schedule", None)
         return state
@@ -138,7 +143,6 @@ class Link:
     def __setstate__(self, state) -> None:
         state = dict(state)
         loss = state.pop("loss")
-        state.setdefault("_batch", False)
         state.setdefault("rate_schedule", None)
         self.__dict__.update(state)
         self.loss = loss
@@ -156,10 +160,9 @@ class Link:
 
     @property
     def busy(self) -> bool:
-        """True while a packet occupies the transmitter."""
-        if self._batch:
-            return self._sim.now < self._busy_until
-        return self._busy
+        """True while a packet occupies the transmitter, or waits to
+        enter it at this instant."""
+        return self._drain_pending or self._sim.now < self._busy_until
 
     def transmission_time(self, packet: Packet) -> float:
         """Seconds the transmitter is occupied by ``packet``."""
@@ -211,160 +214,119 @@ class Link:
 
     def send(self, packet: Packet) -> None:
         """Entry point: apply outages, tampering and loss injection,
-        queue, and start the transmitter if idle."""
+        queue, and serve the packet at once if the transmitter is idle."""
+        if self._down or self.tamper is not None:
+            if not self._screen(packet):
+                return
+        # Common path: _admit and _serve inlined (one Python frame per
+        # packet that finds the transmitter idle).
+        if self._loss_active and self._loss.should_drop(packet):
+            self._emit("link.injected_drop", packet=packet)
+            return
+        sim = self._sim
+        now = sim.now
+        queue = self.queue
+        if now < self._busy_until:
+            if queue.enqueue(packet) and not self._drain_pending:
+                self._drain_pending = True
+                sim.schedule_abs(self._busy_until, self._drain)
+        elif self._drain_pending:
+            # The transmitter frees up at this very instant: departure
+            # before arrival, whatever order the two were booked in.
+            self._serve(now)
+            queue.enqueue(packet)
+        elif queue.enqueue(packet):
+            # Idle transmitter: the packet still passes through the
+            # queue (its discipline sees every arrival) and leaves it
+            # at once.
+            packet = queue.dequeue()
+            ch = self._ch_tx
+            if ch is None:
+                ch = self._bind_trace_channels()
+            if ch.subs:
+                ch.emit(now, self.name, packet=packet)
+            delay = self.delay
+            if self.reorder is not None:
+                delay += self.reorder.extra_delay(packet)
+            busy = now + packet.size * 8.0 / self.bandwidth_bps
+            self._busy_until = busy
+            sim.schedule_abs(busy + delay, self._deliver, packet)
+
+    def _screen(self, packet: Packet) -> bool:
+        """Apply an outage or a tamperer to ``packet``; admit a
+        duplicate copy ahead of it.  False if the packet is destroyed."""
         if self._down:
             self.outage_drops += 1
             self._emit("link.injected_drop", packet=packet, reason="outage")
-            return
-        if self.tamper is not None:
-            verdict = self.tamper.verdict(packet)
-            if verdict == "corrupt":
-                # Corruption is modelled as a drop: the checksum fails
-                # at the receiver, so the packet might as well vanish.
-                self._emit("link.injected_drop", packet=packet, reason="corrupt")
-                return
-            if verdict == "duplicate":
-                self._emit("link.duplicate", packet=packet)
-                self._admit(self.tamper.clone(packet))
-        # Common path: _admit inlined (one Python frame per packet).
-        if self._loss_active and self._loss.should_drop(packet):
-            self._emit("link.injected_drop", packet=packet)
-            return
-        if self._batch:
-            if self.queue.enqueue(packet):
-                self._batched_kick()
-            return
-        if self.queue.enqueue(packet) and not self._busy:
-            self._start_transmission()
+            return False
+        verdict = self.tamper.verdict(packet)
+        if verdict == "corrupt":
+            # Corruption is modelled as a drop: the checksum fails at
+            # the receiver, so the packet might as well vanish.
+            self._emit("link.injected_drop", packet=packet, reason="corrupt")
+            return False
+        if verdict == "duplicate":
+            self._emit("link.duplicate", packet=packet)
+            self._admit(self.tamper.clone(packet))
+        return True
 
     def _admit(self, packet: Packet) -> None:
-        """Run loss injection and queueing for one packet copy."""
+        """Run loss injection, queueing and service for one packet copy
+        (``send`` carries an inlined copy of this body)."""
         if self._loss_active and self._loss.should_drop(packet):
             self._emit("link.injected_drop", packet=packet)
             return
-        if self._batch:
-            if self.queue.enqueue(packet):
-                self._batched_kick()
-            return
-        if self.queue.enqueue(packet) and not self._busy:
-            self._start_transmission()
-
-    # ------------------------------------------------------------------
-    # batched egress (opt-in)
-    # ------------------------------------------------------------------
-    def enable_batched_egress(self) -> None:
-        """Opt into batched egress scheduling.
-
-        The default transmitter costs two engine events per packet: a
-        transmission-done event at service end plus a delivery event at
-        the far end.  In batched mode an *uncontended* packet (admitted
-        to an idle transmitter) skips the transmission-done event
-        entirely — its delivery is scheduled directly at
-        ``tx_time + delay`` and the transmitter just remembers it is
-        occupied until ``now + tx_time``.  Packets that arrive during a
-        busy period queue as usual and are drained by a single service
-        event at the exact instant the transmitter frees up, so queue
-        occupancy, drop decisions and every delivery timestamp are
-        identical to the default mode; only the engine event stream is
-        smaller (equivalence is pinned by tests/net/test_link_batched).
-
-        Because serials and the pending heap differ, batched worlds are
-        **not** digest-compatible with default worlds — hence opt-in,
-        per link.  Two caveats:
-
-        * ``link.tx`` records are emitted at service *start* carrying
-          the same packet (completion is start + ``transmission_time``);
-          the default mode emits at completion.
-        * A link with a reorderer attached must stay unbatched (the
-          per-packet jitter draw happens in a different event context);
-          enabling raises :class:`ConfigurationError`.
-        """
-        if self.reorder is not None:
-            raise ConfigurationError(
-                f"link {self.name}: batched egress is incompatible with a reorderer"
-            )
-        if self.rate_schedule is not None:
-            raise ConfigurationError(
-                f"link {self.name}: batched egress is incompatible with a rate "
-                "schedule (variable rate breaks the one-drain-per-busy-period "
-                "invariant)"
-            )
-        if not self._batch:
-            self._batch = True
-            self._busy_until = self._sim.now
-            self._drain_pending = False
-
-    def _batched_kick(self) -> None:
-        """An enqueue happened: serve it now if the transmitter is
-        idle, else make sure one drain event covers the busy period."""
-        if self._drain_pending:
-            # A drain is already booked for ``_busy_until``; it owns the
-            # next service start.  Serving here too would double-book
-            # the slot when this send fires at exactly ``_busy_until``
-            # (now >= _busy_until looks idle, but the drain has not run
-            # yet) — the tie every tx-aligned workload hits.
-            return
         now = self._sim.now
-        if now >= self._busy_until:
-            self._batched_serve(now)
-        else:
-            self._drain_pending = True
-            self._sim.schedule_abs(self._busy_until, self._batched_drain)
+        if now < self._busy_until:
+            if self.queue.enqueue(packet) and not self._drain_pending:
+                self._drain_pending = True
+                self._sim.schedule_abs(self._busy_until, self._drain)
+        elif self._drain_pending:
+            self._serve(now)
+            self.queue.enqueue(packet)
+        elif self.queue.enqueue(packet):
+            self._serve(now)
 
-    def _batched_serve(self, now: float) -> None:
-        """Begin service of the head-of-line packet at ``now``."""
+    # ------------------------------------------------------------------
+    # the transmitter
+    # ------------------------------------------------------------------
+    def _serve(self, now: float) -> None:
+        """Start service of the head-of-line packet at ``now`` and book
+        its delivery at ``(now + transmission time) + delay``."""
         packet = self.queue.dequeue()
-        if packet is None:
-            return
         ch = self._ch_tx
         if ch is None:
             ch = self._bind_trace_channels()
         if ch.subs:
             ch.emit(now, self.name, packet=packet)
-        tx = packet.size * 8.0 / self.bandwidth_bps
-        # Two-step sum: the default mode computes (now + tx) + delay, so
-        # batched delivery timestamps must associate the same way.
-        busy = now + tx
-        self._busy_until = busy
-        self._sim.schedule_abs(busy + self.delay, self._deliver, packet)
-
-    def _batched_drain(self) -> None:
-        """Service-start tick: the transmitter just freed up."""
-        self._drain_pending = False
-        now = self._sim.now
-        self._batched_serve(now)
-        if not self.queue.is_empty:
-            self._drain_pending = True
-            self._sim.schedule_abs(self._busy_until, self._batched_drain)
-
-    def _queue_dropped(self, packet: Packet, reason: str) -> None:
-        self._emit("link.drop", packet=packet, reason=reason, qlen=len(self.queue))
-
-    def _start_transmission(self) -> None:
-        packet = self.queue.dequeue()
-        if packet is None:
-            return
-        self._busy = True
-        # transmission_time() inlined; the expression must stay exactly
-        # ``size * 8.0 / bandwidth`` — a pre-divided constant would
-        # round differently and shift every digest-pinned timestamp.
-        self._sim.schedule(
-            packet.size * 8.0 / self.bandwidth_bps, self._transmission_done, packet
-        )
-
-    def _transmission_done(self, packet: Packet) -> None:
-        self._busy = False
-        ch = self._ch_tx
-        if ch is None:
-            ch = self._bind_trace_channels()
-        if ch.subs:
-            ch.emit(self._sim.now, self.name, packet=packet)
         delay = self.delay
         if self.reorder is not None:
             delay += self.reorder.extra_delay(packet)
-        self._sim.schedule(delay, self._deliver, packet)
-        if not self.queue.is_empty:
-            self._start_transmission()
+        # transmission_time() inlined; the expression must stay exactly
+        # ``size * 8.0 / bandwidth`` and the sum must associate as
+        # ``(now + tx) + delay`` — a pre-divided constant or a pre-added
+        # ``tx + delay`` would round differently and shift every
+        # timestamp.
+        busy = now + packet.size * 8.0 / self.bandwidth_bps
+        self._busy_until = busy
+        self._sim.schedule_abs(busy + delay, self._deliver, packet)
+
+    def _drain(self) -> None:
+        """Service-start tick, booked at ``_busy_until`` while packets
+        wait: serve the head, and rebook while the queue is non-empty.
+        An arrival that tied with this tick may already have served the
+        head (see ``send``); then the tick only rebooks."""
+        sim = self._sim
+        now = sim.now
+        if now >= self._busy_until:
+            self._serve(now)
+        if self.queue.is_empty:
+            self._drain_pending = False
+        else:
+            sim.schedule_abs(self._busy_until, self._drain)
+
+    def _queue_dropped(self, packet: Packet, reason: str) -> None:
+        self._emit("link.drop", packet=packet, reason=reason, qlen=len(self.queue))
 
     #: Exact reference count of a packet at the recycle check below when
     #: only the clean delivery chain holds it: the firing event's args

@@ -311,8 +311,11 @@ class Simulator:
         and re-adds it to ``now``), the event fires at float-identical
         ``time`` — what callers amortizing several hops into one event
         need to reproduce a chained schedule's timestamps bit-exactly.
+        Times in the past within ``NEGATIVE_DELAY_EPSILON`` are clamped
+        to ``now``; earlier ones raise :class:`SchedulingError`.
         """
-        now = self.now
+        core = self._core
+        now = self._now if core is None else core.now
         if time < now:
             if time >= now - NEGATIVE_DELAY_EPSILON:
                 time = now
@@ -320,7 +323,6 @@ class Simulator:
                 raise SchedulingError(
                     f"cannot schedule into the past (time={time}, now={now})"
                 )
-        core = self._core
         if core is not None:
             return core.schedule_abs(time, fn, args, self)
         serial = next(self._serial)

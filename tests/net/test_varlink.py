@@ -115,22 +115,6 @@ class TestApplication:
             link.set_bandwidth(0.0)
 
 
-class TestBatchedEgressExclusion:
-    def test_scheduled_link_refuses_batching(self):
-        sim = Simulator()
-        link, _ = make_link(sim)
-        RateSchedule(steps=((1.0, 1e6),)).apply(link)
-        with pytest.raises(ConfigurationError):
-            link.enable_batched_egress()
-
-    def test_batched_link_refuses_schedule(self):
-        sim = Simulator()
-        link, _ = make_link(sim)
-        link.enable_batched_egress()
-        with pytest.raises(ConfigurationError):
-            RateSchedule(steps=((1.0, 1e6),)).apply(link)
-
-
 class TestSeededGenerator:
     def test_same_seed_same_schedule(self):
         a = RateSchedule.mobile(7, duration=30.0, mean_bps=2e6, handover_period=10.0)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim.engine import Simulator
+from repro.sim import engine
+from repro.sim.engine import NEGATIVE_DELAY_EPSILON, Simulator
 
 
 class TestScheduling:
@@ -209,6 +210,58 @@ class TestNegativeDelayClamp:
         sim = Simulator()
         with pytest.raises(SchedulingError):
             sim.schedule(-1e-6, lambda: None)
+
+
+@pytest.fixture(params=["python", "compiled"])
+def backend_simulator(request, monkeypatch):
+    """``Simulator`` on one named dispatch backend (compiled skipped
+    when the extension is not built)."""
+    if request.param == "python":
+        monkeypatch.setattr(engine, "_CoreType", None)
+    else:
+        try:
+            from repro.sim import _engine_core
+        except ImportError:
+            pytest.skip("compiled engine core not built")
+        _engine_core.register_event_type(engine.Event)
+        monkeypatch.setattr(engine, "_CoreType", _engine_core.Core)
+    return engine.Simulator
+
+
+class TestScheduleAbs:
+    @staticmethod
+    def _at(simulator_cls, now):
+        sim = simulator_cls()
+        sim.schedule(now, lambda: None)
+        sim.run()
+        assert sim.now == now
+        return sim
+
+    def test_exact_timestamp_is_kept(self, backend_simulator):
+        # (t - now) + now rounds to 0.857142857142857: schedule_at
+        # would drift, schedule_abs must not.
+        now, t = 1 / 3, 6 / 7
+        assert (t - now) + now != t
+        sim = self._at(backend_simulator, now)
+        fired = []
+        event = sim.schedule_abs(t, lambda: fired.append(sim.now))
+        assert event.time == t
+        sim.run()
+        assert fired == [t]
+
+    def test_time_within_epsilon_in_the_past_is_clamped_to_now(self, backend_simulator):
+        sim = self._at(backend_simulator, 1.0)
+        fired = []
+        event = sim.schedule_abs(1.0 - NEGATIVE_DELAY_EPSILON / 2, lambda: fired.append(sim.now))
+        assert event.time == 1.0
+        sim.run()
+        assert fired == [1.0]
+
+    def test_time_further_in_the_past_raises(self, backend_simulator):
+        sim = self._at(backend_simulator, 1.0)
+        with pytest.raises(SchedulingError):
+            sim.schedule_abs(1.0 - 10 * NEGATIVE_DELAY_EPSILON, lambda: None)
+        assert sim.pending_events == 0
 
 
 class TestRunClockAdvance:
