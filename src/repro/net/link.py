@@ -26,7 +26,7 @@ from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.net.loss import LossModule, NoLoss
-from repro.net.packet import Packet, maybe_release
+from repro.net.packet import Packet
 from repro.net.queues import PacketQueue
 from repro.sim.engine import Simulator
 from repro.sim.tracing import NULL_CHANNEL, TraceBus
@@ -224,7 +224,7 @@ class Link:
             self._emit("link.injected_drop", packet=packet)
             return
         sim = self._sim
-        now = sim.now
+        now = sim.clock.now
         queue = self.queue
         if now < self._busy_until:
             if queue.enqueue(packet) and not self._drain_pending:
@@ -276,7 +276,7 @@ class Link:
         if self._loss_active and self._loss.should_drop(packet):
             self._emit("link.injected_drop", packet=packet)
             return
-        now = self._sim.now
+        now = self._sim.clock.now
         if now < self._busy_until:
             if self.queue.enqueue(packet) and not self._drain_pending:
                 self._drain_pending = True
@@ -317,7 +317,7 @@ class Link:
         An arrival that tied with this tick may already have served the
         head (see ``send``); then the tick only rebooks."""
         sim = self._sim
-        now = sim.now
+        now = sim.clock.now
         if now >= self._busy_until:
             self._serve(now)
         if self.queue.is_empty:
@@ -328,24 +328,15 @@ class Link:
     def _queue_dropped(self, packet: Packet, reason: str) -> None:
         self._emit("link.drop", packet=packet, reason=reason, qlen=len(self.queue))
 
-    #: Exact reference count of a packet at the recycle check below when
-    #: only the clean delivery chain holds it: the firing event's args
-    #: tuple + this frame's local + maybe_release's argument binding +
-    #: sys.getrefcount's temporary.  The consumers (host/agent receive)
-    #: have already returned, so the count is independent of how deep
-    #: that chain was; a forwarding router's queue, a retained trace
-    #: record or any other holder raises it and recycling is skipped.
-    _DELIVERED_CLEAN_REFS = 4
-
     def _deliver(self, packet: Packet) -> None:
+        # A host recycles the packet once its agent has consumed it
+        # (Host.receive); a router hands it on, so there is nothing to
+        # recycle here.
         self.packets_delivered += 1
         self.bytes_delivered += packet.size
         if self._dst is None:
             raise ConfigurationError(f"link {self.name} has no destination node")
         self._dst.receive(packet)
-        # End of the wire journey for packets consumed by an endpoint:
-        # recycle into the packet pool unless anything still holds one.
-        maybe_release(packet, self._DELIVERED_CLEAN_REFS)
 
     def _emit(self, category: str, **fields) -> None:
         if self.trace is not None:

@@ -12,8 +12,21 @@ from typing import Dict, Optional
 
 from repro.errors import TopologyError
 from repro.net.link import Link
-from repro.net.packet import Packet
+from repro.net.packet import Packet, maybe_release
 from repro.sim.engine import Simulator
+
+
+#: Exact reference count of a packet at :meth:`Host.receive`'s recycle
+#: check when only the clean delivery chain holds it: the firing
+#: delivery event's args tuple + ``Link._deliver``'s local + this
+#: frame's local + ``maybe_release``'s argument binding +
+#: ``sys.getrefcount``'s temporary.  The agent has already returned, so
+#: the count is independent of how deep its handling went; an agent
+#: that keeps the packet, a retained trace record or any other holder
+#: raises it and recycling is skipped.  The count is exact only for a
+#: link delivery: a direct ``receive`` call whose caller holds the
+#: packet in a local while the agent keeps it also counts 5.
+_RECEIVED_CLEAN_REFS = 5
 
 
 class Agent:
@@ -59,7 +72,8 @@ class Node:
     def add_route(self, dst_name: str, link: Link) -> None:
         self.routes[dst_name] = link
 
-    def _forward(self, packet: Packet) -> None:
+    def send(self, packet: Packet) -> None:
+        """Push ``packet`` onto the output link towards its destination."""
         link = self.routes.get(packet.dst)
         if link is None:
             # Compact tables (Network.compute_routes(compact=True)) give
@@ -69,9 +83,6 @@ class Node:
             if link is None:
                 raise TopologyError(f"{self.name}: no route to {packet.dst}")
         link.send(packet)
-
-    def send(self, packet: Packet) -> None:
-        self._forward(packet)
 
     def receive(self, packet: Packet) -> None:
         raise NotImplementedError
@@ -114,6 +125,9 @@ class Host(Node):
         if agent is None:
             raise TopologyError(f"{self.name}: no agent for flow {packet.flow_id}")
         agent.receive(packet)
+        # End of the packet's journey: recycle it into the packet pool
+        # unless anything still holds it.
+        maybe_release(packet, _RECEIVED_CLEAN_REFS)
 
 
 class Router(Node):
@@ -121,7 +135,7 @@ class Router(Node):
 
     def receive(self, packet: Packet) -> None:
         self.packets_received += 1
-        link = self.routes.get(packet.dst)  # _forward inlined: hot
+        link = self.routes.get(packet.dst)  # Node.send inlined: hot
         if link is None:
             link = self.routes.get("*")  # compact-table default route
             if link is None:

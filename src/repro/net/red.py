@@ -133,39 +133,40 @@ class RedQueue(PacketQueue):
         if seconds > 0:
             self._mean_pkt_time = seconds
 
-    def _update_average(self) -> None:
-        """Advance the EWMA (and the idle epoch) for one arriving packet.
-
-        This is the single authoritative implementation — ``enqueue``
-        calls it rather than inlining a copy, so the two can never
-        drift apart again (they once did: the idle-epoch advance below
-        was fixed in the inlined copy only).
-
-        The idle epoch must survive drops: a packet refused at an
-        empty queue leaves the link idle, and wiping the epoch here
-        would disable the idle decay exactly when overload makes
-        every arrival a forced drop (avg then never recovers — a
-        lockout the many-flow scenes hit).  Advance it instead (the
-        decay below consumes the idle span so far); accepts make the
-        queue busy and ``dequeue`` restarts the clock on empty.
-        """
+    def enqueue(self, packet: Packet) -> bool:
+        # The EWMA update for this arrival, the only copy of it (a
+        # separate method once drifted from an inlined duplicate).  The
+        # clock and the occupancy are read once each, and the float
+        # expressions must stay exactly as written: a reordered product
+        # would round differently and move every drop decision.
+        #
+        # The idle epoch must survive drops: a packet refused at an
+        # empty queue leaves the link idle, and wiping the epoch here
+        # would disable the idle decay exactly when overload makes
+        # every arrival a forced drop (avg then never recovers - a
+        # lockout the many-flow scenes hit).  Advance it instead (the
+        # decay below consumes the idle span so far); accepts make the
+        # queue busy and ``dequeue`` restarts the clock on empty.
         q = len(self._items)
         w = self._w
-        if q > 0 or self._idle_since is None:
-            self.avg = (1 - w) * self.avg + w * q
+        if q > 0:
+            avg = (1 - w) * self.avg + w * q
+            self._idle_since = None
         else:
-            # Idle adjustment: decay avg as if m small packets had arrived
-            # while the queue sat empty.
-            idle = self._sim.now - self._idle_since
-            m = int(idle / self._mean_pkt_time)
-            self.avg *= (1 - w) ** m
-            self.avg = (1 - w) * self.avg  # the arriving packet's update (q == 0)
-        self._idle_since = self._sim.now if q == 0 else None
-
-    def enqueue(self, packet: Packet) -> bool:
-        self._update_average()
-        avg = self.avg
-        q = len(self._items)
+            now = self._sim.clock.now
+            idle_since = self._idle_since
+            if idle_since is None:
+                avg = (1 - w) * self.avg + w * q
+            else:
+                # Idle adjustment: decay avg as if m small packets had
+                # arrived while the queue sat empty, then apply the
+                # arriving packet's update (q == 0).
+                idle = now - idle_since
+                m = int(idle / self._mean_pkt_time)
+                avg = self.avg * (1 - w) ** m
+                avg = (1 - w) * avg
+            self._idle_since = now
+        self.avg = avg
         if q >= self.limit:
             self.overflow_drops += 1
             self._count = 0
@@ -210,7 +211,13 @@ class RedQueue(PacketQueue):
         return True
 
     def dequeue(self):
-        packet = super().dequeue()
-        if not self._items:
-            self._idle_since = self._sim.now
+        # PacketQueue.dequeue inlined: one frame per served packet.  An
+        # emptied (or already empty) queue starts the idle epoch.
+        items = self._items
+        packet = None
+        if items:
+            self.dequeues += 1
+            packet = items.popleft()
+        if not items:
+            self._idle_since = self._sim.clock.now
         return packet

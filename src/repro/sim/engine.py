@@ -159,6 +159,21 @@ class Event:
         return f"Event(t={self.time:.6f}, serial={self.serial}, {state})"
 
 
+class _Clock:
+    """The pure backend's simulation clock: one writable ``now`` slot.
+
+    :attr:`Simulator.clock` is this object on the pure backend and the
+    compiled core itself on the compiled one; both expose the current
+    time as a plain ``.now`` attribute, so per-packet code reads the
+    clock with one attribute load instead of a property call.
+    """
+
+    __slots__ = ("now",)
+
+    def __init__(self, now: float):
+        self.now = now
+
+
 if _CoreType is not None:
     # Hand the compiled core the Event class and its slot offsets so the
     # C dispatch loop reads/writes event fields with direct memory
@@ -196,9 +211,10 @@ class Simulator:
             # (time, serial, event) tuples the pure heap stores, so
             # introspection code works unchanged across backends.
             self._heap = core
+            self.clock = core
         else:
             self._core = None
-            self._now = float(start_time)
+            self.clock = _Clock(float(start_time))
             # Heap entries are (time, serial, event): comparisons during
             # sift run entirely in C on the leading floats/ints and only
             # ever reach the first two slots (serials are unique), so
@@ -212,9 +228,14 @@ class Simulator:
 
     @property
     def now(self) -> float:
-        """Current simulation time in seconds."""
-        core = self._core
-        return self._now if core is None else core.now
+        """Current simulation time in seconds.
+
+        Hot code reads ``sim.clock.now`` instead: :attr:`clock` is an
+        object whose ``now`` attribute is the simulation time on either
+        backend (the compiled core, or a one-slot clock the pure
+        dispatch loop writes), so the read skips this property call.
+        """
+        return self.clock.now
 
     @property
     def events_processed(self) -> int:
@@ -270,9 +291,12 @@ class Simulator:
         Returns the :class:`Event`, which may be cancelled before it
         fires.  Raises :class:`SchedulingError` for negative delays;
         delays within ``NEGATIVE_DELAY_EPSILON`` of zero are treated as
-        floating-point round-off and clamped to 0.
+        floating-point round-off and clamped to 0.  A NaN delay raises
+        too.
         """
-        if delay < 0:
+        # Not ``delay < 0``: every comparison with NaN is false, so that
+        # guard would let NaN through to fire first and poison the clock.
+        if not delay >= 0:
             if delay >= -NEGATIVE_DELAY_EPSILON:
                 delay = 0.0
             else:
@@ -282,7 +306,7 @@ class Simulator:
             # The entire fast path — serial, event reuse/allocation,
             # slot fill, heap push — happens inside the core.
             return core.schedule(delay, fn, args, self)
-        time = self._now + delay
+        time = self.clock.now + delay
         serial = next(self._serial)
         free = self._event_free
         if free:
@@ -312,17 +336,17 @@ class Simulator:
         ``time`` — what callers amortizing several hops into one event
         need to reproduce a chained schedule's timestamps bit-exactly.
         Times in the past within ``NEGATIVE_DELAY_EPSILON`` are clamped
-        to ``now``; earlier ones raise :class:`SchedulingError`.
+        to ``now``; earlier ones, and NaN, raise :class:`SchedulingError`.
         """
-        core = self._core
-        now = self._now if core is None else core.now
-        if time < now:
+        now = self.clock.now
+        if not time >= now:  # written so that NaN raises (see schedule)
             if time >= now - NEGATIVE_DELAY_EPSILON:
                 time = now
             else:
                 raise SchedulingError(
                     f"cannot schedule into the past (time={time}, now={now})"
                 )
+        core = self._core
         if core is not None:
             return core.schedule_abs(time, fn, args, self)
         serial = next(self._serial)
@@ -451,11 +475,12 @@ class Simulator:
         if not self._heap:
             return False
         event = heapq.heappop(self._heap)[2]
-        if event.time < self._now:  # pragma: no cover - defensive
+        clock = self.clock
+        if event.time < clock.now:  # pragma: no cover - defensive
             raise SimulationError(
-                f"event time {event.time} precedes clock {self._now}"
+                f"event time {event.time} precedes clock {clock.now}"
             )
-        self._now = event.time
+        clock.now = event.time
         event._fired = True
         self._pending -= 1
         self._events_processed += 1
@@ -515,6 +540,7 @@ class Simulator:
                 heappop = heapq.heappop
                 getrefcount = sys.getrefcount
                 free = self._event_free
+                clock = self.clock
                 while True:
                     if self._stop_requested or (
                         max_events is not None and fired >= max_events
@@ -535,7 +561,7 @@ class Simulator:
                     if until is not None and etime > until:
                         break
                     event = heappop(heap)[2]
-                    self._now = etime
+                    clock.now = etime
                     event._fired = True
                     self._pending -= 1
                     self._events_processed += 1
@@ -554,7 +580,7 @@ class Simulator:
                     fired += 1
         finally:
             self._running = False
-        if until is not None and until > self.now:
+        if until is not None and until > self.clock.now:
             if core is not None:
                 head = core.peek_time()
                 if not (interrupted and head is not None and head <= until):
@@ -562,7 +588,7 @@ class Simulator:
             else:
                 self._drop_cancelled()
                 if not (interrupted and self._heap and self._heap[0][0] <= until):
-                    self._now = until
+                    self.clock.now = until
         return fired
 
     def clear(self) -> None:
@@ -621,7 +647,7 @@ class Simulator:
             key=lambda entry: (entry[0], entry[1]),
         )
         return {
-            "now": self._now,
+            "now": self.clock.now,
             "serial_next": self._serial.__reduce__()[1][0],
             "heap": pending,
             "events_processed": self._events_processed,
@@ -644,9 +670,10 @@ class Simulator:
                 core.push(time, serial, event)
             self._core = core
             self._heap = core
+            self.clock = core
         else:
             self._core = None
-            self._now = state["now"]
+            self.clock = _Clock(state["now"])
             self._heap = list(state["heap"])  # sorted => valid min-heap
             self._serial = itertools.count(state["serial_next"])
             self._events_processed = state["events_processed"]

@@ -15,6 +15,7 @@ import pytest
 
 from repro.config import TcpConfig
 from repro.net.packet import Packet, SackBlock, ack_packet
+from repro.sim import engine
 from repro.sim.engine import Simulator
 from repro.tcp.base import TcpSender
 
@@ -88,6 +89,24 @@ def _isolated_artifact_dir(tmp_path, monkeypatch):
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator()
+
+
+@pytest.fixture(params=["python", "compiled"])
+def backend_simulator(request, monkeypatch):
+    """``Simulator`` on one named dispatch backend (compiled skipped
+    when the extension is not built).  Simulators built while the
+    fixture is active, including those inside topology builders, use
+    the named backend."""
+    if request.param == "python":
+        monkeypatch.setattr(engine, "_CoreType", None)
+    else:
+        try:
+            from repro.sim import _engine_core
+        except ImportError:
+            pytest.skip("compiled engine core not built")
+        _engine_core.register_event_type(engine.Event)
+        monkeypatch.setattr(engine, "_CoreType", _engine_core.Core)
+    return engine.Simulator
 
 
 @pytest.fixture

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim import engine
 from repro.sim.engine import NEGATIVE_DELAY_EPSILON, Simulator
 
 
@@ -210,22 +209,6 @@ class TestNegativeDelayClamp:
         sim = Simulator()
         with pytest.raises(SchedulingError):
             sim.schedule(-1e-6, lambda: None)
-
-
-@pytest.fixture(params=["python", "compiled"])
-def backend_simulator(request, monkeypatch):
-    """``Simulator`` on one named dispatch backend (compiled skipped
-    when the extension is not built)."""
-    if request.param == "python":
-        monkeypatch.setattr(engine, "_CoreType", None)
-    else:
-        try:
-            from repro.sim import _engine_core
-        except ImportError:
-            pytest.skip("compiled engine core not built")
-        _engine_core.register_event_type(engine.Event)
-        monkeypatch.setattr(engine, "_CoreType", _engine_core.Core)
-    return engine.Simulator
 
 
 class TestScheduleAbs:
@@ -498,3 +481,109 @@ class TestEnginePickle:
         sim.schedule(1.0, grab)
         sim.run()
         assert len(errors) == 1
+
+
+class TestNanTimes:
+    """Every comparison with NaN is false, so a ``time < now`` guard
+    let NaN through: the event fired first, even under ``run(until)``,
+    set the clock to NaN, and later events then ran it backwards."""
+
+    @pytest.mark.parametrize("method", ["schedule", "schedule_at", "schedule_abs"])
+    def test_nan_time_is_refused(self, backend_simulator, method):
+        sim = backend_simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(sim.now))
+        sim.schedule(2.0, lambda: fired.append(sim.now))
+        with pytest.raises(SchedulingError):
+            getattr(sim, method)(float("nan"), lambda: fired.append(sim.now))
+        assert sim.pending_events == 2
+        sim.run(until=3.0)
+        assert fired == [1.0, 2.0]
+        assert sim.now == 3.0
+
+    def test_infinite_delay_is_still_accepted(self, backend_simulator):
+        sim = backend_simulator()
+        event = sim.schedule(float("inf"), _noop)
+        assert event.time == float("inf")
+        sim.run(until=5.0)
+        assert event.pending and sim.now == 5.0
+
+
+class TestClockParity:
+    """``sim.clock.now`` is the simulation time on both backends, after
+    every way the engine moves, resets or rebuilds its clock."""
+
+    @staticmethod
+    def _check(sim, expected):
+        assert sim.clock.now == sim.now == expected
+        assert sim.__getstate__()["now"] == expected
+
+    def test_step(self, backend_simulator):
+        sim = backend_simulator()
+        seen = []
+        sim.schedule(1.5, lambda: seen.append(sim.clock.now))
+        assert sim.step()
+        assert seen == [1.5]
+        self._check(sim, 1.5)
+
+    def test_run_until_and_end_advance(self, backend_simulator):
+        sim = backend_simulator()
+        sim.schedule(1.0, _noop)
+        sim.schedule(2.0, _noop)
+        sim.run(until=1.5)
+        self._check(sim, 1.5)
+        sim.run(until=5.0)  # drains the queue, then advances to until
+        self._check(sim, 5.0)
+
+    def test_max_events_exits(self, backend_simulator):
+        sim = backend_simulator()
+        for t in (1.0, 2.0, 3.0):
+            sim.schedule(t, _noop)
+        sim.run(until=10.0, max_events=2)
+        self._check(sim, 2.0)
+        sim.run(until=10.0, max_events=1)  # drained: the advance happens
+        self._check(sim, 10.0)
+
+    def test_request_stop_exit(self, backend_simulator):
+        sim = backend_simulator()
+        sim.schedule(1.0, sim.request_stop, "test")
+        sim.schedule(2.0, _noop)
+        sim.run(until=10.0)
+        self._check(sim, 1.0)
+
+    def test_clear(self, backend_simulator):
+        sim = backend_simulator()
+        sim.schedule(1.0, _noop)
+        sim.schedule(2.0, _noop)
+        sim.run(until=1.5)
+        sim.clear()
+        self._check(sim, 1.5)
+        event = sim.schedule(1.0, _noop)
+        assert event.time == 2.5
+
+    def test_pickle_round_trip(self, backend_simulator):
+        import pickle
+
+        sim = backend_simulator()
+        sim.schedule(1.0, _noop)
+        sim.schedule(3.0, _noop)
+        sim.run(until=2.5)
+        clone = pickle.loads(pickle.dumps(sim))
+        assert clone.clock is not sim.clock
+        self._check(clone, 2.5)
+        clone.run()
+        self._check(clone, 3.0)
+        self._check(sim, 2.5)
+
+    def test_snapshot_restore(self, backend_simulator):
+        from repro.snapshot import Snapshot
+
+        sim = backend_simulator()
+        sim.schedule(1.0, _noop)
+        sim.schedule(3.0, _noop)
+        sim.run(until=2.5)
+        restored = Snapshot.capture(sim).restore()
+        assert restored.clock is not sim.clock
+        self._check(restored, 2.5)
+        restored.run()
+        self._check(restored, 3.0)
