@@ -19,6 +19,10 @@ from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 
 
+def _compiled_required():
+    return os.environ.get("REPRO_REQUIRE_COMPILED", "").strip() not in ("", "0")
+
+
 class OptionalBuildExt(build_ext):
     """Build the accelerator if we can; fall back quietly if we cannot."""
 
@@ -36,7 +40,7 @@ class OptionalBuildExt(build_ext):
 
     @staticmethod
     def _tolerate(exc):
-        if os.environ.get("REPRO_REQUIRE_COMPILED", "").strip() not in ("", "0"):
+        if _compiled_required():
             raise
         print(f"warning: skipping optional compiled core: {exc}")
 
@@ -46,7 +50,9 @@ setup(
         Extension(
             "repro.sim._engine_core",
             sources=["src/repro/sim/_engine_core.c"],
-            optional=True,
+            # An optional extension's build errors are swallowed by
+            # setuptools itself, before _tolerate could re-raise them.
+            optional=not _compiled_required(),
         )
     ],
     cmdclass={"build_ext": OptionalBuildExt},

@@ -298,6 +298,8 @@ def data_packet(
     is_retransmit: bool = False,
 ) -> Packet:
     """Build a DATA packet (drawing from the packet pool)."""
+    uid = _uid_counter.next_uid  # _UidSource.__call__ inlined: hot
+    _uid_counter.next_uid = uid + 1
     free = _pool.free
     if free:
         _pool.reused += 1
@@ -315,7 +317,7 @@ def data_packet(
         packet.ecn_echo = False
         packet.is_retransmit = is_retransmit
         packet.sent_at = 0.0
-        packet.uid = _uid_counter()
+        packet.uid = uid
         return packet
     return Packet(
         kind=DATA,
@@ -325,6 +327,7 @@ def data_packet(
         seqno=seqno,
         size=size,
         is_retransmit=is_retransmit,
+        uid=uid,
     )
 
 
@@ -338,6 +341,8 @@ def ack_packet(
 ) -> Packet:
     """Build an ACK packet (optionally carrying SACK blocks), drawing
     from the packet pool."""
+    uid = _uid_counter.next_uid  # _UidSource.__call__ inlined: hot
+    _uid_counter.next_uid = uid + 1
     free = _pool.free
     if free:
         _pool.reused += 1
@@ -355,7 +360,7 @@ def ack_packet(
         packet.ecn_echo = False
         packet.is_retransmit = False
         packet.sent_at = 0.0
-        packet.uid = _uid_counter()
+        packet.uid = uid
         return packet
     return Packet(
         kind=ACK,
@@ -365,6 +370,7 @@ def ack_packet(
         ackno=ackno,
         size=size,
         sack_blocks=list(sack_blocks or ()),
+        uid=uid,
     )
 
 

@@ -1,8 +1,10 @@
 /* Compiled dispatch core for repro.sim.engine.Simulator.
  *
- * Design: events stay ordinary Python ``Event`` objects (created and
- * recycled by the Python ``Simulator.schedule``); this module owns only
- * the heap array, the counters and the dispatch loop.  That keeps every
+ * Design: events stay ordinary Python ``Event`` objects; this module
+ * owns the heap array, the counters and the dispatch loop, and its
+ * ``schedule``/``schedule_abs`` are the Simulator's scheduling methods
+ * (bound on the instance), so time validation and event minting run
+ * here with no Python frame.  Keeping events in Python keeps every
  * serialization surface (pickles, snapshot digests, golden state) in
  * Python and bit-identical across backends — a host without a C
  * compiler simply falls back to the pure-python loop.
@@ -12,7 +14,7 @@
  * tuples; serials are unique so the event itself is never compared.
  *
  * Fired/cancelled events whose only remaining reference is the core's
- * own are recycled onto the shared free list (set_free_list) after
+ * own are recycled onto the shared free list (a Core argument) after
  * their fn/args are cleared, mirroring the pure backend's
  * sys.getrefcount gate.
  */
@@ -38,26 +40,28 @@ typedef struct {
     entry_t *heap;
     Py_ssize_t heap_len;
     Py_ssize_t heap_cap;
-    PyObject *free_list;     /* strong, list or NULL */
+    PyObject *owner;         /* strong, the Simulator that owns the events */
+    PyObject *free_list;     /* strong, list */
     PyObject *current_event; /* strong, event whose callback raised */
 } CoreObject;
 
 /* Matches HEAP_COMPACT_MIN in engine.py. */
 #define HEAP_COMPACT_MIN 64
 
-static PyObject *s_cancelled; /* "_cancelled" */
-static PyObject *s_fired;     /* "_fired" */
-static PyObject *s_fn;        /* "fn" */
-static PyObject *s_args;      /* "args" */
-
 /* The Python Event class and the byte offsets of its __slots__,
- * captured by register_event_type().  Slot storage is a plain
+ * captured by register().  Slot storage is a plain
  * PyObject* at a fixed offset, so once registered the hot loop reads
  * and writes event fields with direct memory access instead of
  * attribute lookups. */
 static PyTypeObject *event_type;
 static Py_ssize_t off_time, off_serial, off_fn, off_args;
 static Py_ssize_t off_cancelled, off_fired, off_sim;
+
+/* Scheduling validation, handed over by register(): the exception
+ * raised for past and NaN times, and the round-off tolerance below
+ * which a past time is clamped to now (engine.NEGATIVE_DELAY_EPSILON). */
+static PyObject *scheduling_error;
+static double negative_delay_epsilon;
 
 #define EV_SLOT(ev, off) (*(PyObject **)((char *)(ev) + (off)))
 
@@ -280,10 +284,10 @@ Core_push(CoreObject *self, PyObject *const *argv, Py_ssize_t argc)
 }
 
 /* The scheduling fast path: mint the serial, reuse or allocate an
- * Event, fill its slots directly and push it.  Returns the event. */
+ * Event, fill its slots directly (owned by self->owner, which the
+ * caller checked) and push it.  Returns the event. */
 static PyObject *
-schedule_common(CoreObject *self, double time, PyObject *fn, PyObject *args,
-                PyObject *sim)
+schedule_common(CoreObject *self, double time, PyObject *fn, PyObject *args)
 {
     long long serial;
     PyObject *event;
@@ -329,8 +333,8 @@ schedule_common(CoreObject *self, double time, PyObject *fn, PyObject *args,
     ev_set(event, off_cancelled, Py_False);
     Py_INCREF(Py_False);
     ev_set(event, off_fired, Py_False);
-    Py_INCREF(sim);
-    ev_set(event, off_sim, sim);
+    Py_INCREF(self->owner);
+    ev_set(event, off_sim, self->owner);
     Py_INCREF(event); /* heap's reference */
     if (heap_push(self, time, serial, event) < 0) {
         Py_DECREF(event); /* heap's */
@@ -341,41 +345,86 @@ schedule_common(CoreObject *self, double time, PyObject *fn, PyObject *args,
     return event;
 }
 
-/* schedule(delay, fn, args, sim) — delay pre-validated by the caller. */
+/* Schedule fn(*argv[2:]) at ``time``: pack the args tuple and fill the
+ * event.  argv[0] is the validated time or delay, argv[1] fn. */
+static PyObject *
+schedule_packed(CoreObject *self, double time, PyObject *const *argv,
+                Py_ssize_t argc)
+{
+    PyObject *args, *event;
+    Py_ssize_t i, n = argc - 2;
+    if (self->owner == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "engine core has been cleared");
+        return NULL;
+    }
+    args = PyTuple_New(n);
+    if (args == NULL)
+        return NULL;
+    for (i = 0; i < n; i++) {
+        Py_INCREF(argv[i + 2]);
+        PyTuple_SET_ITEM(args, i, argv[i + 2]);
+    }
+    event = schedule_common(self, time, argv[1], args);
+    Py_DECREF(args);
+    return event;
+}
+
+/* schedule(delay, fn, *args) -> Event: fire fn(*args) ``delay`` seconds
+ * from now.  Same rules as the pure Simulator.schedule: a negative delay
+ * within the epsilon is clamped to 0; an earlier one, or NaN, raises.
+ * The test is written so that NaN fails it. */
 static PyObject *
 Core_schedule(CoreObject *self, PyObject *const *argv, Py_ssize_t argc)
 {
     double delay;
-    if (argc != 4) {
-        PyErr_SetString(PyExc_TypeError, "schedule(delay, fn, args, sim)");
+    if (argc < 2) {
+        PyErr_SetString(PyExc_TypeError, "schedule(delay, fn, *args)");
         return NULL;
     }
     delay = PyFloat_AsDouble(argv[0]);
     if (delay == -1.0 && PyErr_Occurred())
         return NULL;
-    return schedule_common(self, self->now + delay, argv[1], argv[2], argv[3]);
+    if (!(delay >= 0)) {
+        if (delay >= -negative_delay_epsilon) {
+            delay = 0.0;
+        } else {
+            PyErr_Format(scheduling_error,
+                         "cannot schedule into the past (delay=%S)", argv[0]);
+            return NULL;
+        }
+    }
+    return schedule_packed(self, self->now + delay, argv, argc);
 }
 
-/* schedule_abs(time, fn, args, sim) — exact absolute timestamp, no
- * now+delay round trip; time pre-validated by the caller. */
+/* schedule_abs(time, fn, *args) -> Event: fire fn(*args) at exactly
+ * ``time``, no now+delay round trip.  A past time within the epsilon is
+ * clamped to now; an earlier one, or NaN, raises. */
 static PyObject *
 Core_schedule_abs(CoreObject *self, PyObject *const *argv, Py_ssize_t argc)
 {
-    double time;
-    if (argc != 4) {
-        PyErr_SetString(PyExc_TypeError, "schedule_abs(time, fn, args, sim)");
+    double time, now = self->now;
+    if (argc < 2) {
+        PyErr_SetString(PyExc_TypeError, "schedule_abs(time, fn, *args)");
         return NULL;
     }
     time = PyFloat_AsDouble(argv[0]);
     if (time == -1.0 && PyErr_Occurred())
         return NULL;
-    return schedule_common(self, time, argv[1], argv[2], argv[3]);
-}
-
-static PyObject *
-Core_next_serial(CoreObject *self, PyObject *Py_UNUSED(ignored))
-{
-    return PyLong_FromLongLong(self->serial_next++);
+    if (!(time >= now)) {
+        if (time >= now - negative_delay_epsilon) {
+            time = now;
+        } else {
+            PyObject *now_obj = PyFloat_FromDouble(now);
+            if (now_obj == NULL)
+                return NULL;
+            PyErr_Format(scheduling_error,
+                         "cannot schedule into the past (time=%S, now=%S)",
+                         argv[0], now_obj);
+            Py_DECREF(now_obj);
+            return NULL;
+        }
+    }
+    return schedule_packed(self, time, argv, argc);
 }
 
 static PyObject *
@@ -405,18 +454,6 @@ Core_set_now(CoreObject *self, PyObject *arg)
     if (now == -1.0 && PyErr_Occurred())
         return NULL;
     self->now = now;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-Core_set_free_list(CoreObject *self, PyObject *arg)
-{
-    if (!PyList_Check(arg)) {
-        PyErr_SetString(PyExc_TypeError, "free list must be a list");
-        return NULL;
-    }
-    Py_INCREF(arg);
-    Py_XSETREF(self->free_list, arg);
     Py_RETURN_NONE;
 }
 
@@ -567,13 +604,18 @@ Core_take_current_event(CoreObject *self, PyObject *Py_UNUSED(ignored))
 /* type plumbing                                                       */
 /* ------------------------------------------------------------------ */
 
+/* Core(start_time, owner, free_list): ``owner`` is the Simulator every
+ * scheduled event reports to (Event._sim); ``free_list`` is its shared
+ * list of recycled events. */
 static PyObject *
 Core_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    double start_time = 0.0;
+    double start_time;
+    PyObject *owner, *free_list;
     CoreObject *self;
-    static char *kwlist[] = {"start_time", NULL};
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|d", kwlist, &start_time))
+    static char *kwlist[] = {"start_time", "owner", "free_list", NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "dOO!", kwlist, &start_time,
+                                     &owner, &PyList_Type, &free_list))
         return NULL;
     self = (CoreObject *)type->tp_alloc(type, 0);
     if (self == NULL)
@@ -587,7 +629,10 @@ Core_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->heap = NULL;
     self->heap_len = 0;
     self->heap_cap = 0;
-    self->free_list = NULL;
+    Py_INCREF(owner);
+    self->owner = owner;
+    Py_INCREF(free_list);
+    self->free_list = free_list;
     self->current_event = NULL;
     return (PyObject *)self;
 }
@@ -598,6 +643,7 @@ Core_traverse(CoreObject *self, visitproc visit, void *arg)
     Py_ssize_t i;
     for (i = 0; i < self->heap_len; i++)
         Py_VISIT(self->heap[i].event);
+    Py_VISIT(self->owner);
     Py_VISIT(self->free_list);
     Py_VISIT(self->current_event);
     return 0;
@@ -610,6 +656,7 @@ Core_clear_refs(CoreObject *self)
     self->heap_len = 0;
     for (i = 0; i < n; i++)
         Py_CLEAR(self->heap[i].event);
+    Py_CLEAR(self->owner);
     Py_CLEAR(self->free_list);
     Py_CLEAR(self->current_event);
     return 0;
@@ -696,20 +743,18 @@ static PyMethodDef Core_methods[] = {
     {"push", (PyCFunction)(void (*)(void))Core_push, METH_FASTCALL,
      "push(time, serial, event): add a pending event"},
     {"schedule", (PyCFunction)(void (*)(void))Core_schedule, METH_FASTCALL,
-     "schedule(delay, fn, args, sim) -> Event (delay pre-validated)"},
+     "schedule(delay, fn, *args) -> Event: fire fn(*args) delay seconds "
+     "from now"},
     {"schedule_abs", (PyCFunction)(void (*)(void))Core_schedule_abs,
      METH_FASTCALL,
-     "schedule_abs(time, fn, args, sim) -> Event (time pre-validated)"},
-    {"next_serial", (PyCFunction)Core_next_serial, METH_NOARGS,
-     "return the next schedule serial and advance the counter"},
+     "schedule_abs(time, fn, *args) -> Event: fire fn(*args) at exactly "
+     "time"},
     {"set_serial", (PyCFunction)Core_set_serial, METH_O,
      "set the next schedule serial (restore hook)"},
     {"set_events_processed", (PyCFunction)Core_set_events_processed, METH_O,
      "set the fired-event counter (restore hook)"},
     {"set_now", (PyCFunction)Core_set_now, METH_O,
      "advance the clock (end-of-run adjustment)"},
-    {"set_free_list", (PyCFunction)Core_set_free_list, METH_O,
-     "share the simulator's Event free list"},
     {"note_cancelled", (PyCFunction)Core_note_cancelled, METH_NOARGS,
      "account for a lazily-cancelled entry; compacts when warranted"},
     {"peek_time", (PyCFunction)Core_peek_time, METH_NOARGS,
@@ -750,23 +795,42 @@ static PyTypeObject CoreType = {
     .tp_iter = (getiterfunc)Core_iter,
 };
 
-/* Capture the Python Event class and its slot offsets.  Must be
- * called (by repro.sim.engine, at import) before any Core is used;
- * raises if the class layout is not the expected __slots__ set. */
+/* register(Event, SchedulingError, epsilon): capture the Python Event
+ * class and its slot offsets, the exception past/NaN times raise and
+ * the round-off tolerance for past times.  Must be called (by
+ * repro.sim.engine, at import) before any Core is used; raises if the
+ * class layout is not the expected __slots__ set. */
 static PyObject *
-module_register_event_type(PyObject *Py_UNUSED(module), PyObject *arg)
+module_register(PyObject *Py_UNUSED(module), PyObject *const *argv,
+                Py_ssize_t argc)
 {
     static const char *names[] = {"time",       "serial", "fn",   "args",
                                   "_cancelled", "_fired", "_sim"};
     Py_ssize_t *offsets[] = {&off_time,      &off_serial, &off_fn, &off_args,
                              &off_cancelled, &off_fired,  &off_sim};
+    PyObject *cls, *error;
+    double epsilon;
     size_t i;
-    if (!PyType_Check(arg)) {
+    if (argc != 3) {
+        PyErr_SetString(PyExc_TypeError,
+                        "register(event_type, error_type, epsilon)");
+        return NULL;
+    }
+    cls = argv[0];
+    error = argv[1];
+    if (!PyType_Check(cls)) {
         PyErr_SetString(PyExc_TypeError, "expected the Event class");
         return NULL;
     }
+    if (!PyExceptionClass_Check(error)) {
+        PyErr_SetString(PyExc_TypeError, "expected an exception class");
+        return NULL;
+    }
+    epsilon = PyFloat_AsDouble(argv[2]);
+    if (epsilon == -1.0 && PyErr_Occurred())
+        return NULL;
     for (i = 0; i < sizeof(names) / sizeof(names[0]); i++) {
-        PyObject *descr = PyObject_GetAttrString(arg, names[i]);
+        PyObject *descr = PyObject_GetAttrString(cls, names[i]);
         if (descr == NULL)
             return NULL;
         if (Py_TYPE(descr) != &PyMemberDescr_Type) {
@@ -778,14 +842,17 @@ module_register_event_type(PyObject *Py_UNUSED(module), PyObject *arg)
         *offsets[i] = ((PyMemberDescrObject *)descr)->d_member->offset;
         Py_DECREF(descr);
     }
-    Py_INCREF(arg);
-    Py_XSETREF(event_type, (PyTypeObject *)arg);
+    Py_INCREF(cls);
+    Py_XSETREF(event_type, (PyTypeObject *)cls);
+    Py_INCREF(error);
+    Py_XSETREF(scheduling_error, error);
+    negative_delay_epsilon = epsilon;
     Py_RETURN_NONE;
 }
 
 static PyMethodDef module_methods[] = {
-    {"register_event_type", module_register_event_type, METH_O,
-     "capture the Event class and its slot offsets (engine import hook)"},
+    {"register", (PyCFunction)(void (*)(void))module_register, METH_FASTCALL,
+     "register(Event, SchedulingError, epsilon): the engine's import hook"},
     {NULL},
 };
 
@@ -801,13 +868,6 @@ PyMODINIT_FUNC
 PyInit__engine_core(void)
 {
     PyObject *module;
-    s_cancelled = PyUnicode_InternFromString("_cancelled");
-    s_fired = PyUnicode_InternFromString("_fired");
-    s_fn = PyUnicode_InternFromString("fn");
-    s_args = PyUnicode_InternFromString("args");
-    if (s_cancelled == NULL || s_fired == NULL || s_fn == NULL ||
-        s_args == NULL)
-        return NULL;
     if (PyType_Ready(&CoreType) < 0)
         return NULL;
     module = PyModule_Create(&enginecoremodule);

@@ -40,7 +40,12 @@ class:
 * the optional **compiled** backend (``repro.sim._engine_core``, a C
   extension built via ``pip install .[compiled]`` or ``python setup.py
   build_ext --inplace``) keeps the heap as a C array and runs the
-  dispatch loop in C.  Events stay ordinary Python :class:`Event`
+  dispatch loop in C.  Its ``schedule``/``schedule_abs`` and
+  cancellation bookkeeping are bound as the simulator's own methods,
+  so scheduling an event enters no Python frame; the core validates
+  times itself with the rules (and :class:`SchedulingError`, and
+  ``NEGATIVE_DELAY_EPSILON``) this module hands it at import.  Events
+  stay ordinary Python :class:`Event`
   objects in both backends, so pickles, golden digests and snapshots
   are bit-identical across backends and an extension-less host falls
   back cleanly.  Set ``REPRO_PURE_PYTHON=1`` to force the fallback even
@@ -174,13 +179,19 @@ class _Clock:
         self.now = now
 
 
+def register_core(module) -> None:
+    """Hand the compiled core module the Event class (so the C dispatch
+    loop reads/writes event fields with direct memory access at the
+    slot offsets), the exception and the round-off epsilon its
+    scheduling methods validate times with."""
+    module.register(Event, SchedulingError, NEGATIVE_DELAY_EPSILON)
+
+
 if _CoreType is not None:
-    # Hand the compiled core the Event class and its slot offsets so the
-    # C dispatch loop reads/writes event fields with direct memory
-    # access.  Any surprise in the class layout demotes us to the pure
-    # backend instead of risking memory-unsafe offsets.
+    # Any surprise in the class layout demotes us to the pure backend
+    # instead of risking memory-unsafe offsets.
     try:  # pragma: no cover - exercised by the compiled-core CI leg
-        _engine_core_module.register_event_type(Event)
+        register_core(_engine_core_module)
     except Exception:
         _CoreType = None
         CORE_BACKEND = "python"
@@ -203,15 +214,7 @@ class Simulator:
         self._running = False
         self._stop_reason: Optional[str] = None
         if _CoreType is not None:
-            core = _CoreType(float(start_time))
-            core.set_free_list(self._event_free)
-            self._core = core
-            # The core doubles as the heap view: len() counts entries
-            # (cancelled included) and iteration yields the same
-            # (time, serial, event) tuples the pure heap stores, so
-            # introspection code works unchanged across backends.
-            self._heap = core
-            self.clock = core
+            self._bind_core(_CoreType(float(start_time), self, self._event_free))
         else:
             self._core = None
             self.clock = _Clock(float(start_time))
@@ -225,6 +228,22 @@ class Simulator:
             self._pending = 0
             self._cancelled_count = 0
             self._stop_requested = False
+
+    def _bind_core(self, core) -> None:
+        """Make ``core`` this simulator's compiled backend.
+
+        The core doubles as the heap view (len() counts entries,
+        cancelled included, and iteration yields the same (time,
+        serial, event) tuples the pure heap stores) and as the clock.
+        Its C methods are bound over :meth:`schedule`,
+        :meth:`schedule_abs` and :meth:`_note_cancelled` on the
+        instance, so those calls enter no Python frame; the class
+        methods below are the pure backend's.
+        """
+        self._core = self._heap = self.clock = core
+        self.schedule = core.schedule
+        self.schedule_abs = core.schedule_abs
+        self._note_cancelled = core.note_cancelled
 
     @property
     def now(self) -> float:
@@ -292,7 +311,8 @@ class Simulator:
         fires.  Raises :class:`SchedulingError` for negative delays;
         delays within ``NEGATIVE_DELAY_EPSILON`` of zero are treated as
         floating-point round-off and clamped to 0.  A NaN delay raises
-        too.
+        too.  (The compiled backend binds its core's method of the same
+        name and rules over this one.)
         """
         # Not ``delay < 0``: every comparison with NaN is false, so that
         # guard would let NaN through to fire first and poison the clock.
@@ -301,11 +321,6 @@ class Simulator:
                 delay = 0.0
             else:
                 raise SchedulingError(f"cannot schedule into the past (delay={delay})")
-        core = self._core
-        if core is not None:
-            # The entire fast path — serial, event reuse/allocation,
-            # slot fill, heap push — happens inside the core.
-            return core.schedule(delay, fn, args, self)
         time = self.clock.now + delay
         serial = next(self._serial)
         free = self._event_free
@@ -326,7 +341,7 @@ class Simulator:
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at an absolute simulation time."""
-        return self.schedule(time - self.now, fn, *args)
+        return self.schedule(time - self.clock.now, fn, *args)
 
     def schedule_abs(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule at an *exact* absolute timestamp.
@@ -337,6 +352,7 @@ class Simulator:
         need to reproduce a chained schedule's timestamps bit-exactly.
         Times in the past within ``NEGATIVE_DELAY_EPSILON`` are clamped
         to ``now``; earlier ones, and NaN, raise :class:`SchedulingError`.
+        (The compiled backend binds its core's method over this one.)
         """
         now = self.clock.now
         if not time >= now:  # written so that NaN raises (see schedule)
@@ -346,9 +362,6 @@ class Simulator:
                 raise SchedulingError(
                     f"cannot schedule into the past (time={time}, now={now})"
                 )
-        core = self._core
-        if core is not None:
-            return core.schedule_abs(time, fn, args, self)
         serial = next(self._serial)
         free = self._event_free
         if free:
@@ -384,11 +397,8 @@ class Simulator:
     def _note_cancelled(self) -> None:
         """Bookkeeping for a lazily-deleted heap entry (called by
         :meth:`Event.cancel`): keep the pending count exact, and compact
-        the heap once cancelled entries outnumber live ones."""
-        core = self._core
-        if core is not None:
-            core.note_cancelled()
-            return
+        the heap once cancelled entries outnumber live ones.  (The
+        compiled backend binds its core's ``note_cancelled`` over this.)"""
         self._pending -= 1
         self._cancelled_count += 1
         if (
@@ -510,10 +520,15 @@ class Simulator:
         ``max_events`` (or a stop request) ended the run *after* the
         queue drained below ``until``; it is skipped only while events
         remain at or before ``until``, which would otherwise be jumped
-        over.  Returns the number of events fired by this call.
+        over.  Returns the number of events fired by this call.  A NaN
+        ``until`` raises :class:`SchedulingError` before anything fires.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
+        # NaN is the one value unequal to itself.  Every comparison with
+        # it is false, so a NaN bound would stop neither dispatch loop.
+        if until is not None and until != until:
+            raise SchedulingError(f"cannot run until a NaN time (until={until})")
         self._running = True
         self._stop_reason = None
         core = self._core
@@ -660,17 +675,14 @@ class Simulator:
         self._running = False
         self._stop_reason = state["stop_reason"]
         if _CoreType is not None:
-            core = _CoreType(state["now"])
-            core.set_free_list(self._event_free)
+            core = _CoreType(state["now"], self, self._event_free)
             core.set_serial(state["serial_next"])
             core.set_events_processed(state["events_processed"])
             if state["stop_requested"]:
                 core.request_stop()
             for time, serial, event in state["heap"]:
                 core.push(time, serial, event)
-            self._core = core
-            self._heap = core
-            self.clock = core
+            self._bind_core(core)
         else:
             self._core = None
             self.clock = _Clock(state["now"])

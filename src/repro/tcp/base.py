@@ -27,9 +27,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.config import TcpConfig
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, TopologyError
 from repro.net.node import Agent
-from repro.net.packet import Packet, data_packet
+from repro.net.packet import ACK, Packet, data_packet
 from repro.sim.engine import Simulator
 from repro.sim.timers import Timer
 from repro.sim.tracing import NULL_CHANNEL, TraceBus
@@ -238,15 +238,20 @@ class TcpSender(Agent):
         """True while the application has unsent data."""
         return self._limit is None or self.snd_nxt < self._limit
 
-    def can_send_new(self) -> bool:
-        return self.data_available() and self.flight() < self.send_window()
-
     def send_available(self, max_packets: Optional[int] = None) -> int:
         """Send as much new data as the window (and ``max_packets``)
         permits.  Returns the number of packets sent."""
         self._maybe_slow_start_restart()
         sent = 0
-        while self.can_send_new():
+        # data_available(), then flight() < send_window(), inlined: this
+        # runs on every ACK.  Each pass re-reads the state _send_new moves.
+        while True:
+            limit = self._limit
+            if limit is not None and self.snd_nxt >= limit:
+                break
+            window = min(int(self.cwnd), self.config.receiver_window)
+            if self.snd_nxt - self.snd_una >= window:
+                break
             if max_packets is not None and sent >= max_packets:
                 break
             self._send_new()
@@ -289,16 +294,19 @@ class TcpSender(Agent):
         self._transmit(seqno, retransmit=True)
 
     def _transmit(self, seqno: int, retransmit: bool) -> None:
+        host = self.host  # Agent.local_name and Agent.send inlined: hot
+        if host is None:
+            raise TopologyError("agent is not attached to a host")
         packet = data_packet(
             self.flow_id,
-            self.local_name,
+            host.name,
             self.dst,
             seqno,
             size=self.config.mss_bytes,
             is_retransmit=retransmit,
         )
         packet.ecn_capable = self.config.ecn_enabled
-        now = self.sim.now
+        now = self.sim.clock.now
         packet.sent_at = now
         if retransmit:
             self.retransmits += 1
@@ -326,13 +334,13 @@ class TcpSender(Agent):
                 snd_nxt=self.snd_nxt,
                 maxseq=self.maxseq,
             )
-        self.send(packet)
+        host.send(packet)
 
     # ------------------------------------------------------------------
     # ACK dispatch
     # ------------------------------------------------------------------
     def receive(self, packet: Packet) -> None:
-        if not packet.is_ack or self.completed:
+        if packet.kind != ACK or self.completed:
             return
         if packet.ecn_echo and self.config.ecn_enabled:
             self._ecn_reaction()
@@ -342,11 +350,12 @@ class TcpSender(Agent):
         if ch is None:
             self._bind_trace_channels()
             ch = self._ch_ack
+        now = self.sim.clock.now
         if ackno > self.snd_una:
-            self.observer.on_ack(self.sim.now, self, ackno, duplicate=False)
+            self.observer.on_ack(now, self, ackno, duplicate=False)
             if ch.subs:
                 ch.emit(
-                    self.sim.now,
+                    now,
                     self._trace_src,
                     ackno=ackno,
                     duplicate=False,
@@ -356,11 +365,11 @@ class TcpSender(Agent):
                 )
             self._process_new_ack(packet)
             self._check_complete()
-        elif ackno == self.snd_una and self.flight() > 0:
-            self.observer.on_ack(self.sim.now, self, ackno, duplicate=True)
+        elif ackno == self.snd_una and self.snd_nxt > ackno:
+            self.observer.on_ack(now, self, ackno, duplicate=True)
             if ch.subs:
                 ch.emit(
-                    self.sim.now,
+                    now,
                     self._trace_src,
                     ackno=ackno,
                     duplicate=True,
@@ -374,13 +383,14 @@ class TcpSender(Agent):
 
     def _check_complete(self) -> None:
         if self._limit is not None and self.snd_una >= self._limit and not self.completed:
+            now = self.sim.clock.now
             self.completed = True
-            self.complete_time = self.sim.now
+            self.complete_time = now
             self._timer.stop()
-            self.observer.on_complete(self.sim.now, self)
+            self.observer.on_complete(now, self)
             self._emit("tcp.complete")
             for callback in self.completion_callbacks:
-                callback(self.sim.now)
+                callback(now)
 
     # ------------------------------------------------------------------
     # common ACK helpers (for subclasses)
@@ -389,12 +399,12 @@ class TcpSender(Agent):
         """Advance snd_una, take the RTT sample, manage the timer and
         reset the dup-ACK counter.  Every new-ACK path calls this."""
         if self._rtt_seq is not None and ackno > self._rtt_seq:
-            self.rto.on_sample(self.sim.now - self._rtt_sent_at)
+            self.rto.on_sample(self.sim.clock.now - self._rtt_sent_at)
             self._rtt_seq = None
         self.snd_una = ackno
         self.snd_nxt = max(self.snd_nxt, ackno)
         self.dupacks = 0
-        if self.flight() > 0:
+        if self.snd_nxt > ackno:  # flight() > 0
             self._timer.restart(self.rto.current())
         else:
             self._timer.stop()
@@ -411,13 +421,14 @@ class TcpSender(Agent):
         self._note_cwnd()
 
     def _note_cwnd(self) -> None:
-        self.observer.on_cwnd(self.sim.now, self, self.cwnd)
+        now = self.sim.clock.now
+        self.observer.on_cwnd(now, self, self.cwnd)
         ch = self._ch_cwnd
         if ch is None:
             self._bind_trace_channels()
             ch = self._ch_cwnd
         if ch.subs:
-            ch.emit(self.sim.now, self._trace_src, cwnd=self.cwnd)
+            ch.emit(now, self._trace_src, cwnd=self.cwnd)
 
     def _halved_ssthresh(self) -> float:
         """The standard multiplicative decrease: half the flight size,

@@ -23,8 +23,9 @@ from __future__ import annotations
 from typing import List, Optional, Set
 
 from repro.config import TcpConfig
+from repro.errors import TopologyError
 from repro.net.node import Agent
-from repro.net.packet import Packet, SackBlock, ack_packet, merge_ranges
+from repro.net.packet import DATA, Packet, SackBlock, ack_packet, merge_ranges
 from repro.sim.engine import Simulator
 from repro.sim.timers import Timer
 
@@ -63,7 +64,7 @@ class TcpReceiver(Agent):
         return len(self._out_of_order)
 
     def receive(self, packet: Packet) -> None:
-        if not packet.is_data:
+        if packet.kind != DATA:
             return  # receivers ignore stray ACKs
         self._peer = packet.src
         self.packets_received += 1
@@ -127,9 +128,12 @@ class TcpReceiver(Agent):
         # would have acknowledged.
         self._delack_pending = 0
         self._delack_timer.stop()
+        host = self.host  # Agent.local_name and Agent.send inlined: hot
+        if host is None:
+            raise TopologyError("agent is not attached to a host")
         ack = ack_packet(
             self.flow_id,
-            self.local_name,
+            host.name,
             self._peer,
             self.rcv_next,
             size=self.config.ack_bytes,
@@ -138,9 +142,9 @@ class TcpReceiver(Agent):
         if self._ecn_echo_pending:
             ack.ecn_echo = True
             self._ecn_echo_pending = False
-        ack.sent_at = self.sim.now
+        ack.sent_at = self.sim.clock.now
         self.acks_sent += 1
-        self.send(ack)
+        host.send(ack)
 
 
 class SackReceiver(TcpReceiver):
@@ -151,7 +155,7 @@ class SackReceiver(TcpReceiver):
         self._last_seqno: Optional[int] = None
 
     def receive(self, packet: Packet) -> None:
-        if packet.is_data:
+        if packet.kind == DATA:
             self._last_seqno = packet.seqno
         super().receive(packet)
 

@@ -104,7 +104,7 @@ def backend_simulator(request, monkeypatch):
             from repro.sim import _engine_core
         except ImportError:
             pytest.skip("compiled engine core not built")
-        _engine_core.register_event_type(engine.Event)
+        engine.register_core(_engine_core)
         monkeypatch.setattr(engine, "_CoreType", _engine_core.Core)
     return engine.Simulator
 

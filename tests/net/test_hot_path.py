@@ -4,9 +4,14 @@ A hop's cost is mostly the Python frames it enters, so the per-hop
 call sequence is pinned here on both engine backends: a packet crossing
 an idle router runs exactly the link delivery, the router's forwarding,
 the output link's admission, the queue's enqueue and dequeue, and the
-booking of the next delivery.  The clock is read as ``sim.clock.now``
-(no property call), RED keeps its average inside ``enqueue``, and only
-the host at the end of the journey offers the packet back to the pool.
+booking of the next delivery — a Python frame on the pure backend, a
+call straight into the C core on the compiled one.  The clock is read
+as ``sim.clock.now`` (no property call), RED keeps its average inside
+``enqueue``, and only the host at the end of the journey offers the
+packet back to the pool.
+
+The TCP sender's ACK clock is pinned the same way: a steady-state new
+ACK runs no accessor, property or wrapper frame that does no work.
 
 The pool tests pin the other half of that contract: a clean transfer
 recycles every delivered packet, and a packet something still holds is
@@ -17,10 +22,12 @@ import sys
 
 import pytest
 
+from repro.config import TcpConfig
+from repro.core.robust_recovery import RobustRecoverySender
 from repro.experiments.common import FlowSpec, build_dumbbell_scenario
 from repro.net.link import Link
 from repro.net.node import Agent, Host, Router
-from repro.net.packet import data_packet, drain_packet_pool, packet_pool
+from repro.net.packet import ack_packet, data_packet, drain_packet_pool, packet_pool
 from repro.net.queues import DropTailQueue
 from repro.net.red import RedParams, RedQueue
 from repro.sim.rng import RngStream
@@ -53,9 +60,9 @@ def line_of_hosts(sim, make_queue):
     return a, r.routes["B"].queue
 
 
-def profiled_calls(sim):
-    """Run ``sim`` to completion; return the qualified names of the
-    Python functions entered (and their callers) while it ran."""
+def profiled(fn, *args):
+    """Call ``fn(*args)``; return the qualified names of the Python
+    functions entered (and their callers) while it ran."""
     calls = []
 
     def profile(frame, event, arg):
@@ -64,9 +71,16 @@ def profiled_calls(sim):
 
     sys.setprofile(profile)
     try:
-        sim.run()
+        fn(*args)
     finally:
         sys.setprofile(None)
+    return calls
+
+
+def profiled_calls(sim):
+    """Run ``sim`` to completion; return the qualified names of the
+    Python functions entered (and their callers) while it ran."""
+    calls = profiled(sim.run)
     assert calls[0][0] == "Simulator.run"
     return calls[1:]
 
@@ -96,8 +110,9 @@ def test_idle_router_hop_runs_only_working_frames(backend_simulator, make_queue)
         "Link.send",
         f"{queue}.enqueue",
         type(router_queue).dequeue.__qualname__,
-        "Simulator.schedule_abs",
     ]
+    if sim._core is None:
+        admit.append("Simulator.schedule_abs")
     host_send, router_hop, host_hop = hops(name for name, _ in calls)
     assert host_send == ["Node.send"] + admit
     assert router_hop == ["Link._deliver", "Router.receive"] + admit
@@ -152,3 +167,46 @@ def test_a_kept_packet_is_skipped_and_never_handed_out_again(backend_simulator):
     assert all(packet.uid == uid for packet, uid in kept)
     free = {id(packet) for packet in pool.free}
     assert not any(id(packet) in free for packet, _ in kept)
+
+
+class DiscardingHost:
+    """A sender's host that forwards nothing."""
+
+    name = "S1"
+
+    def send(self, packet):
+        pass
+
+
+#: Frames a steady-state new ACK must not enter on either backend:
+#: accessors, properties and wrappers that only read or forward state.
+IDLE_ACK_FRAMES = {
+    "Simulator.now",
+    "TcpSender.flight",
+    "TcpSender.send_window",
+    "TcpSender.data_available",
+    "Timer._quantize",
+    "Event.pending",
+    "_UidSource.__call__",
+    "Agent.local_name",
+    "Agent.send",
+}
+
+
+def test_steady_state_new_ack_enters_no_idle_frames(backend_simulator):
+    sim = backend_simulator()
+    # A small ssthresh puts the sender in congestion avoidance after a
+    # few ACKs; the default 0.1 s timer tick keeps quantization on.
+    sender = RobustRecoverySender(sim, 1, "K1", config=TcpConfig(initial_ssthresh=4.0))
+    sender.attach(DiscardingHost())
+    sender.start()
+    for ackno in range(1, 40):
+        sender.receive(ack_packet(1, "K1", "S1", ackno))
+    assert not sender.in_recovery and sender.cwnd >= sender.ssthresh
+    sent = sender.packets_sent
+    calls = {name for name, _ in profiled(sender.receive, ack_packet(1, "K1", "S1", 40))}
+    assert sender.packets_sent > sent  # the ACK clocked out new data
+    assert "TcpSender._ack_common" in calls and "Timer.start" in calls
+    assert not calls & IDLE_ACK_FRAMES
+    if sim._core is not None:
+        assert not calls & {"Simulator.schedule", "Simulator._note_cancelled"}
